@@ -15,10 +15,9 @@
 //                         cache-miss rate and cycles/atom for the density
 //                         and force phases at the sweep's max thread count
 //   --void-drill          load-imbalance drill (ISSUE 10): carve a
-//                         spherical void out of the smallest case and A/B
-//                         the barriered shapes (SDC, SAP) against the
-//                         work-stealing cell-task shape, checking every
-//                         strategy's forces against serial at 1e-12
+//                         spherical void out of the largest case and A/B
+//                         the two barriered shapes (SDC, SAP), checking
+//                         each strategy's forces against serial at 1e-12
 //
 // Expected shape (paper, 16 cores): SDC > RC > SAP > CS at high thread
 // counts; CS collapses below 1; SAP peaks around 8 threads then degrades;
@@ -68,8 +67,7 @@ int main(int argc, char** argv) {
   const ReductionStrategy strategies[] = {
       ReductionStrategy::Critical,          ReductionStrategy::Atomic,
       ReductionStrategy::LockStriped,       ReductionStrategy::ArrayPrivatization,
-      ReductionStrategy::RedundantComputation, ReductionStrategy::Sdc,
-      ReductionStrategy::CellTask};
+      ReductionStrategy::RedundantComputation, ReductionStrategy::Sdc};
 
   const char* csv_env = std::getenv("SDCMD_BENCH_CSV_DIR");
   const std::string csv_dir =
@@ -95,11 +93,10 @@ int main(int argc, char** argv) {
   if (cli.get_bool("void-drill")) {
     // ISSUE 10 drill: a carved void makes the spatial load non-uniform, so
     // every barriered decomposition (SDC colors, SAP's implicit join) waits
-    // for whichever worker drew the fullest region each sweep, while the
-    // work-stealing cell-task shape rebalances at task granularity. The
-    // drill A/Bs the three shapes on the smallest case at the sweep's max
-    // thread count and gates each strategy's forces against the serial
-    // reference at 1e-12 (abs, per component).
+    // for whichever worker drew the fullest region each sweep. The drill
+    // A/Bs SDC against SAP on the largest case at the sweep's max thread
+    // count and gates each strategy's forces against the serial reference
+    // at 1e-12 (abs, per component).
     constexpr double kVoidRadiusFraction = 0.3;
     constexpr double kForceTolerance = 1e-12;
     int drill_threads = 1;
@@ -126,11 +123,10 @@ int main(int argc, char** argv) {
     const std::vector<Vec3> reference = runner.system().atoms().force;
 
     const ReductionStrategy drill_strategies[] = {
-        ReductionStrategy::Sdc, ReductionStrategy::ArrayPrivatization,
-        ReductionStrategy::CellTask};
+        ReductionStrategy::Sdc, ReductionStrategy::ArrayPrivatization};
 
     AsciiTable table({"strategy", "s/step", "speedup", "imbalance",
-                      "task/step", "steals", "busy_min", "max|dF|"});
+                      "max|dF|"});
     const auto sci = [](double v) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.1e", v);
@@ -161,9 +157,6 @@ int main(int argc, char** argv) {
                                        serial / timing->density_force_seconds)
                                  : std::nullopt),
            timing ? AsciiTable::fmt(timing->sweep_imbalance, 3) : "-",
-           timing ? std::to_string(timing->task_spawned) : "-",
-           timing ? std::to_string(timing->task_steals) : "-",
-           timing ? AsciiTable::fmt(timing->task_busy_min, 3) : "-",
            timing ? sci(max_dev) : "-"});
       report.add_result(
           {{"case", test_case.name},
@@ -179,20 +172,6 @@ int main(int argc, char** argv) {
                               : obs::JsonValue()},
            {"sweep.imbalance", timing ? obs::JsonValue(timing->sweep_imbalance)
                                       : obs::JsonValue()},
-           {"task.spawned", timing ? obs::JsonValue(static_cast<std::int64_t>(
-                                         timing->task_spawned))
-                                   : obs::JsonValue()},
-           {"task.steals", timing ? obs::JsonValue(static_cast<std::int64_t>(
-                                        timing->task_steals))
-                                  : obs::JsonValue()},
-           {"task.max_queue_depth",
-            timing ? obs::JsonValue(
-                         static_cast<std::int64_t>(timing->task_max_queue_depth))
-                   : obs::JsonValue()},
-           {"task.busy_min", timing ? obs::JsonValue(timing->task_busy_min)
-                                    : obs::JsonValue()},
-           {"task.busy_mean", timing ? obs::JsonValue(timing->task_busy_mean)
-                                     : obs::JsonValue()},
            {"force_max_dev", timing ? obs::JsonValue(max_dev)
                                     : obs::JsonValue()},
            {"forces_ok", timing ? obs::JsonValue(max_dev <= kForceTolerance)
@@ -201,10 +180,8 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", table.render().c_str());
     std::printf(
-        "mechanism check: the void empties some SDC subdomains, so the\n"
-        "fullest color member paces every barrier (imbalance > 1); the\n"
-        "cell-task shape has no color barriers and its busy_min should sit\n"
-        "near 1.0 with steals > 0 on the crowded side of the box.\n");
+        "mechanism check: the void thins the SDC subdomains it crosses,\n"
+        "so the fullest color member paces every barrier (imbalance > 1).\n");
 
     const std::string metrics_out = cli.get("metrics-out");
     if (!metrics_out.empty()) {

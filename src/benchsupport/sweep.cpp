@@ -197,12 +197,6 @@ std::optional<Timing> CaseRunner::time_strategy(
   t.total_seconds = (density + embed + force) / steps;
   t.pair_visits = computer.stats().density_pair_visits / steps;
   t.private_bytes = computer.stats().private_array_bytes;
-  const EamKernelStats& ks = computer.stats();
-  t.task_spawned = ks.task_spawned / static_cast<std::size_t>(steps);
-  t.task_steals = ks.task_steals / static_cast<std::size_t>(steps);
-  t.task_max_queue_depth = ks.task_max_queue_depth;
-  t.task_busy_min = ks.task_busy_min;
-  t.task_busy_mean = ks.task_busy_mean;
   if (instr != nullptr) {
     // Barrier-stretch gauge of the last timed step: worst color imbalance
     // over the two scatter phases (embed is barrier-free in every shape).

@@ -25,11 +25,11 @@
 // going through the EamPotential virtual interface. Analytic potentials
 // leave tables null and keep the virtual path.
 //
-// SoA fast path: when EamArgs.soa is active every kernel swaps its scalar
-// CSR loop for the branch-free SIMD tile helpers of eam_soa.hpp (positions
-// mirror, padded neighbor tiles, packed splines); only the per-pair
-// scatter - under this strategy's protection - stays scalar. The scalar
-// loops remain compiled in as the correctness reference (SoA off).
+// SoA fast path: EamArgs.soa is active only under RedundantComputation.
+// The RC kernels and embed_team then swap their scalar loops for the
+// branch-free SIMD gathers of eam_soa.hpp (positions mirror, padded
+// neighbor tiles, packed splines). Every half-list kernel runs its scalar
+// CSR loop; those loops are also RC's correctness reference (SoA off).
 #pragma once
 
 #include <span>
@@ -45,8 +45,6 @@
 
 namespace sdcmd {
 class LockPool;
-class CellTaskSchedule;
-class CellTaskRuntime;
 }
 
 namespace sdcmd::detail {
@@ -82,8 +80,7 @@ struct EamArgs {
   /// Per-pair geometry/spline cache (density writes, force reads).
   PairCacheRefs cache;
   /// SoA fast path (positions mirror + padded tiles + packed splines);
-  /// inactive -> the kernels take their scalar CSR loops. When active it
-  /// subsumes `cache`: per-pair state lives at padded tile slots instead.
+  /// active only under RedundantComputation, inactive -> scalar loops.
   SoaView soa;
 };
 
@@ -201,13 +198,6 @@ void density_sap_team(const EamArgs& a, std::span<double> rho,
 void density_rc_team(const EamArgs& a, std::span<double> rho);  // full list
 void density_sdc_team(const EamArgs& a, const Partition& part,
                       std::span<double> rho);
-/// Cell-task shape: LPT work-stealing over cell blocks, per-block locks
-/// taken only on actual conflict, cross-block scatter staged per thread and
-/// flushed under the target block's lock (single-lock discipline). `locks`
-/// must be sized to the schedule's block count so block -> lock is 1:1.
-void density_task_team(const EamArgs& a, const CellTaskSchedule& sched,
-                       CellTaskRuntime& rt, LockPool& locks,
-                       std::span<double> rho);
 
 // --- phase 2: embedding (strategy-independent) -----------------------------
 /// Serial: fills fp[i] = dF/drho(rho_i), returns sum of F(rho_i).
@@ -250,9 +240,5 @@ void force_rc_team(const EamArgs& a, std::span<const double> fp,
 void force_sdc_team(const EamArgs& a, const Partition& part,
                     std::span<const double> fp, std::span<Vec3> force,
                     double* energy_parts, double* virial_parts);
-void force_task_team(const EamArgs& a, const CellTaskSchedule& sched,
-                     CellTaskRuntime& rt, LockPool& locks,
-                     std::span<const double> fp, std::span<Vec3> force,
-                     double* energy_parts, double* virial_parts);
 
 }  // namespace sdcmd::detail

@@ -52,18 +52,11 @@ struct EamForceComputer::PairCache {
 };
 
 /// Owned storage behind detail::SoaView: the persistent x/y/z mirror of the
-/// positions (refreshed inside the fused region every step) and the SoA
-/// per-pair cache indexed by padded tile slot. Reused across steps like the
-/// scalar PairCache; RC sizes the cache arrays to zero (gather kernels
-/// never touch them).
+/// positions, refreshed inside the fused region every step.
 struct EamForceComputer::SoaWorkspace {
   std::vector<double> x, y, z;  ///< n+1 slots; slot n backs the sentinel
-  /// Padded tile slots: geometry + density derivative (the scalar cache's
-  /// fields) plus 1/r and the pair spline's (v, dv/dr), hoisted into the
-  /// density phase so the force replay is gather- and divide-free.
-  std::vector<double> cdx, cdy, cdz, cr, cdphi, cir, cv, cdvdr;
 
-  void resize(std::size_t n, std::size_t padded_slots) {
+  void resize(std::size_t n) {
     x.resize(n + 1);
     y.resize(n + 1);
     z.resize(n + 1);
@@ -72,22 +65,10 @@ struct EamForceComputer::SoaWorkspace {
     x[n] = 0.0;
     y[n] = 0.0;
     z[n] = 0.0;
-    cdx.resize(padded_slots);
-    cdy.resize(padded_slots);
-    cdz.resize(padded_slots);
-    cr.resize(padded_slots);
-    cdphi.resize(padded_slots);
-    cir.resize(padded_slots);
-    cv.resize(padded_slots);
-    cdvdr.resize(padded_slots);
   }
 
   std::size_t bytes() const {
-    return (x.capacity() + y.capacity() + z.capacity() + cdx.capacity() +
-            cdy.capacity() + cdz.capacity() + cr.capacity() +
-            cdphi.capacity() + cir.capacity() + cv.capacity() +
-            cdvdr.capacity()) *
-           sizeof(double);
+    return (x.capacity() + y.capacity() + z.capacity()) * sizeof(double);
   }
 };
 
@@ -114,10 +95,6 @@ void EamForceComputer::attach_schedule(const Box& box,
   if (config_.strategy == ReductionStrategy::Sdc) {
     schedule_ =
         std::make_unique<SdcSchedule>(box, interaction_range, config_.sdc);
-  } else if (config_.strategy == ReductionStrategy::CellTask) {
-    task_sched_ = std::make_unique<CellTaskSchedule>(box, interaction_range);
-    // One lock per block: block -> lock is the identity, no stripe sharing.
-    task_locks_ = std::make_unique<LockPool>(task_sched_->block_count());
   }
 }
 
@@ -139,11 +116,6 @@ void EamForceComputer::set_strategy(ReductionStrategy strategy) {
     // attach_schedule + on_neighbor_rebuild.
     schedule_.reset();
   }
-  if (strategy != ReductionStrategy::CellTask) {
-    // Same discipline for the cell-task grid and its per-block locks.
-    task_sched_.reset();
-    task_locks_.reset();
-  }
 }
 
 void EamForceComputer::on_neighbor_rebuild(std::span<const Vec3> positions) {
@@ -151,10 +123,6 @@ void EamForceComputer::on_neighbor_rebuild(std::span<const Vec3> positions) {
     SDCMD_REQUIRE(schedule_ != nullptr,
                   "attach_schedule must run before on_neighbor_rebuild");
     schedule_->rebuild(positions);
-  } else if (config_.strategy == ReductionStrategy::CellTask) {
-    SDCMD_REQUIRE(task_sched_ != nullptr,
-                  "attach_schedule must run before on_neighbor_rebuild");
-    task_sched_->rebuild(positions);
   }
 }
 
@@ -186,15 +154,6 @@ EamForceResult EamForceComputer::compute(const Box& box,
                   "partition is stale: rebuild the SDC schedule after the "
                   "neighbor list");
   }
-  if (config_.strategy == ReductionStrategy::CellTask) {
-    SDCMD_REQUIRE(task_sched_ != nullptr && task_sched_->built() &&
-                      task_locks_ != nullptr,
-                  "cell-task schedule not built; call attach_schedule and "
-                  "on_neighbor_rebuild first");
-    SDCMD_REQUIRE(task_sched_->atom_count() == n,
-                  "cell-task partition is stale: rebuild the schedule after "
-                  "the neighbor list");
-  }
 
   const double cutoff = potential_.cutoff();
   detail::EamArgs args{box,        positions,
@@ -206,35 +165,22 @@ EamForceResult EamForceComputer::compute(const Box& box,
     const EamSplineTables* tables = potential_.spline_tables();
     if (tables != nullptr && tables->valid()) args.tables = tables;
   }
-  const bool caching =
-      config_.use_pair_cache &&
-      config_.strategy != ReductionStrategy::RedundantComputation;
   const bool rc =
       config_.strategy == ReductionStrategy::RedundantComputation;
-  // SoA fast path: needs packed spline tables, a padded-tile list, and a
-  // strategy whose kernels profit - RC's full-list gathers always, the
-  // half-list scatter kernels only on explicit opt-in (they also need the
-  // pair cache for the replay loop). The CellTask kernels are scalar-only
-  // (staged cross-block scatter has no vector form), so they keep the
-  // scalar loops even under soa_half_lists - a padded list built for the
-  // opt-in just goes unused while CellTask is active, which keeps
-  // neighbor_pad_width() stable across governor hot-swaps. Any miss falls
-  // back to the scalar loops.
-  const bool soa_on = config_.use_soa_path && args.tables != nullptr &&
-                      args.tables->packed_valid() &&
-                      list.has_padded_tiles() &&
-                      config_.strategy != ReductionStrategy::CellTask &&
-                      (rc || (caching && config_.soa_half_lists));
+  const bool caching = config_.use_pair_cache && !rc;
+  // SoA fast path: RC's full-list gathers only, and only with packed spline
+  // tables and a padded-tile list. Any miss falls back to the scalar loops.
+  const bool soa_on = rc && config_.use_soa_path && args.tables != nullptr &&
+                      args.tables->packed_valid() && list.has_padded_tiles();
   if (soa_on) {
     if (soa_ == nullptr) soa_ = std::make_unique<SoaWorkspace>();
-    soa_->resize(n, rc ? 0 : list.padded_pair_count());
+    soa_->resize(n);
     detail::SoaView sv;
     sv.x = soa_->x.data();
     sv.y = soa_->y.data();
     sv.z = soa_->z.data();
     sv.tile_index = list.tile_index().data();
     sv.tiles = list.padded_list().data();
-    sv.len = list.neigh_len().data();
     sv.sent = list.pad_sentinel();
     const Vec3 len = box.lengths();
     sv.lx = box.periodic(0) ? len.x : 0.0;
@@ -246,20 +192,8 @@ EamForceResult EamForceComputer::compute(const Box& box,
     sv.density = args.tables->density_packed;
     sv.pair = args.tables->pair_packed;
     sv.embed = args.tables->embed_packed;
-    if (!rc) {
-      sv.cdx = soa_->cdx.data();
-      sv.cdy = soa_->cdy.data();
-      sv.cdz = soa_->cdz.data();
-      sv.cr = soa_->cr.data();
-      sv.cdphi = soa_->cdphi.data();
-      sv.cir = soa_->cir.data();
-      sv.cv = soa_->cv.data();
-      sv.cdvdr = soa_->cdvdr.data();
-    }
     args.soa = sv;
   } else if (caching) {
-    // The scalar cache is only needed when the SoA path (whose padded-slot
-    // cache subsumes it) is not running.
     cache_->resize(list.pair_count());
     args.cache = cache_->refs();
   }
@@ -303,13 +237,6 @@ EamForceResult EamForceComputer::compute(const Box& box,
   if (config_.strategy == ReductionStrategy::Serial) {
     std::fill(rho.begin(), rho.end(), 0.0);
     std::fill(force.begin(), force.end(), Vec3{});
-    if (soa_on) {
-      for (std::size_t i = 0; i < n; ++i) {
-        sx[i] = positions[i].x;
-        sy[i] = positions[i].y;
-        sz[i] = positions[i].z;
-      }
-    }
     if (hw) hw_profiler_.thread_begin(0);
     {
       ScopedTimer timer(timers_.slot(t_density_));
@@ -345,13 +272,6 @@ EamForceResult EamForceComputer::compute(const Box& box,
       // first-touches its own replica); only the outer vector is sized here.
       sap_->rho.resize(static_cast<std::size_t>(slots));
       sap_->force.resize(static_cast<std::size_t>(slots));
-    }
-    if (config_.strategy == ReductionStrategy::CellTask) {
-      // Work-stealing cursors/counters reset serially, BEFORE the region:
-      // both phases' queues are armed here so no mid-region reset (and no
-      // extra barrier) is needed between density and force.
-      if (task_rt_ == nullptr) task_rt_ = std::make_unique<CellTaskRuntime>();
-      task_rt_->reset(slots, task_sched_->block_count());
     }
     int team = 1;
     double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0;
@@ -401,10 +321,6 @@ EamForceResult EamForceComputer::compute(const Box& box,
         case ReductionStrategy::Sdc:
           detail::density_sdc_team(args, schedule_->partition(), rho);
           break;
-        case ReductionStrategy::CellTask:
-          detail::density_task_team(args, *task_sched_, *task_rt_,
-                                    *task_locks_, rho);
-          break;
         case ReductionStrategy::Serial:
           break;  // handled above; unreachable
       }
@@ -443,12 +359,6 @@ EamForceResult EamForceComputer::compute(const Box& box,
           detail::force_sdc_team(args, schedule_->partition(), fp, force,
                                  energy_parts_.data(), virial_parts_.data());
           break;
-        case ReductionStrategy::CellTask:
-          detail::force_task_team(args, *task_sched_, *task_rt_,
-                                  *task_locks_, fp, force,
-                                  energy_parts_.data(),
-                                  virial_parts_.data());
-          break;
         case ReductionStrategy::Serial:
           break;  // handled above; unreachable
       }
@@ -481,32 +391,6 @@ EamForceResult EamForceComputer::compute(const Box& box,
     stats_.color_sweeps += 2 * static_cast<std::size_t>(
                                    schedule_->color_count());
   }
-  if (config_.strategy == ReductionStrategy::CellTask &&
-      task_rt_ != nullptr) {
-    double busy_max = 0.0, busy_sum = 0.0, busy_min_s = 0.0;
-    const int team_n = task_rt_->team();
-    for (int t = 0; t < team_n; ++t) {
-      const CellTaskRuntime::ThreadState& ts = task_rt_->thread(t);
-      stats_.task_spawned += ts.tasks;
-      stats_.task_steals += ts.steals;
-      busy_max = std::max(busy_max, ts.busy_seconds);
-      busy_sum += ts.busy_seconds;
-      busy_min_s = t == 0 ? ts.busy_seconds
-                          : std::min(busy_min_s, ts.busy_seconds);
-    }
-    stats_.task_max_queue_depth =
-        std::max(stats_.task_max_queue_depth, task_rt_->max_queue_depth());
-    if (busy_max > 0.0 && team_n > 0) {
-      stats_.task_busy_min = busy_min_s / busy_max;
-      stats_.task_busy_mean = busy_sum / (busy_max * team_n);
-    } else {
-      stats_.task_busy_min = 0.0;
-      stats_.task_busy_mean = 0.0;
-    }
-  } else {
-    stats_.task_busy_min = 0.0;
-    stats_.task_busy_mean = 0.0;
-  }
   if (sap_) {
     stats_.private_array_bytes =
         std::max(stats_.private_array_bytes, sap_->bytes());
@@ -514,11 +398,6 @@ EamForceResult EamForceComputer::compute(const Box& box,
   if (soa_on) {
     ++stats_.soa_steps;
     stats_.soa_pad_fraction = list.pad_fraction();
-    if (!rc) {
-      // The SoA pair cache writes/reads every padded slot.
-      stats_.cache_store_slots += list.padded_pair_count();
-      stats_.cache_read_slots += list.padded_pair_count();
-    }
     stats_.pair_cache_bytes =
         std::max(stats_.pair_cache_bytes, soa_->bytes());
   } else {
@@ -534,12 +413,10 @@ EamForceResult EamForceComputer::compute(const Box& box,
 }
 
 int EamForceComputer::neighbor_pad_width() const {
-  const bool rc = config_.strategy == ReductionStrategy::RedundantComputation;
-  const bool eligible =
-      config_.use_soa_path && config_.use_spline_tables &&
-      (rc ||
-       (config_.use_pair_cache && config_.soa_half_lists));
-  if (!eligible) return 0;
+  if (config_.strategy != ReductionStrategy::RedundantComputation ||
+      !config_.use_soa_path || !config_.use_spline_tables) {
+    return 0;
+  }
   const EamSplineTables* tables = potential_.spline_tables();
   if (tables == nullptr || !tables->packed_valid()) return 0;
   return detail::kSoaPadWidth;

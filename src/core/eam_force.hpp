@@ -21,7 +21,6 @@
 
 #include "common/timer.hpp"
 #include "common/vec3.hpp"
-#include "core/cell_task_schedule.hpp"
 #include "core/sdc_schedule.hpp"
 #include "core/strategy.hpp"
 #include "neighbor/neighbor_list.hpp"
@@ -53,15 +52,6 @@ struct EamKernelStats {
   /// Tile-padding overhead of the SoA path at the last compute():
   /// padded slots / real pairs - 1 (0 when the path is inactive).
   double soa_pad_fraction = 0.0;
-  // CellTask work-stealing accounting (0 unless the strategy is CellTask).
-  std::size_t task_spawned = 0;         ///< block tasks run (both phases)
-  std::size_t task_steals = 0;          ///< of those, claimed from a foreign queue
-  std::size_t task_max_queue_depth = 0; ///< longest initial per-thread queue
-  /// Per-thread busy fraction over the two scatter phases at the last
-  /// compute(): each thread's kernel seconds divided by the slowest
-  /// thread's (1.0 = perfectly balanced; 0 when the shape is inactive).
-  double task_busy_min = 0.0;
-  double task_busy_mean = 0.0;
 };
 
 struct EamForceConfig {
@@ -77,22 +67,14 @@ struct EamForceConfig {
   /// of the virtual EamPotential interface. No effect on analytic
   /// potentials (they expose no tables).
   bool use_spline_tables = true;
-  /// SIMD structure-of-arrays fast path: positions mirrored into separate
-  /// x/y/z arrays, neighbor tiles padded to the vector width, inner loops
-  /// vectorized over packed spline tables (see docs/performance.md).
-  /// Engages only when the potential is tabulated, the neighbor list was
-  /// built with pad_width == neighbor_pad_width(), and the strategy's
-  /// kernels profit from it (RedundantComputation's full-list gathers;
-  /// half-list strategies additionally need soa_half_lists). false pins
-  /// the scalar reference path everywhere.
+  /// SIMD structure-of-arrays fast path for RedundantComputation's
+  /// full-list gathers: positions mirrored into separate x/y/z arrays,
+  /// neighbor tiles padded to the vector width, inner loops vectorized over
+  /// packed spline tables (see docs/performance.md). Engages only when the
+  /// potential is tabulated and the neighbor list was built with
+  /// pad_width == neighbor_pad_width(). Half-list strategies always run
+  /// their scalar loops; false pins RC to its scalar reference loop too.
   bool use_soa_path = true;
-  /// Also engage the SoA path for half-list scatter strategies (needs the
-  /// pair cache). Off by default: measured on AVX-512, the ~8-entry half
-  /// sublists pad ~45% and the Newton's-third-law scatter must stay
-  /// scalar, so the vector loops lose to the lean scalar replay there
-  /// (see docs/performance.md "when the scalar path wins"). Kept for A/B
-  /// benches, the equivalence tests, and wider-vector hardware.
-  bool soa_half_lists = false;
 };
 
 class LockPool;
@@ -105,16 +87,14 @@ class EamForceComputer {
   EamForceComputer(const EamForceComputer&) = delete;
   EamForceComputer& operator=(const EamForceComputer&) = delete;
 
-  /// Build the strategy's spatial schedule for `box`: the SDC
-  /// decomposition/coloring under Sdc, the cell-task block grid + per-block
-  /// lock pool under CellTask; a no-op otherwise. Required before compute()
-  /// for both scheduled strategies. `interaction_range` must be >=
-  /// potential cutoff + neighbor skin.
+  /// Build the SDC decomposition/coloring for `box` under Sdc; a no-op
+  /// otherwise. Required before compute() under Sdc. `interaction_range`
+  /// must be >= potential cutoff + neighbor skin.
   void attach_schedule(const Box& box, double interaction_range);
 
-  /// Re-partition atoms over subdomains/blocks; call after every
-  /// neighbor-list rebuild (the paper rebuilds SDC state exactly then).
-  /// No-op for unscheduled strategies.
+  /// Re-partition atoms over subdomains; call after every neighbor-list
+  /// rebuild (the paper rebuilds SDC state exactly then). No-op for
+  /// strategies other than Sdc.
   void on_neighbor_rebuild(std::span<const Vec3> positions);
 
   /// Evaluate densities, embedding and forces. `list.mode()` must match
@@ -128,11 +108,11 @@ class EamForceComputer {
 
   /// Hot-swap the reduction strategy mid-run (the StrategyGovernor's
   /// degradation ladder). Allocates the new strategy's workspace (SAP
-  /// replicas, lock pool) on demand and drops a stale SDC schedule /
-  /// cell-task grid when leaving Sdc / CellTask; the pair cache and fused
-  /// one-region pipeline carry over untouched. The caller must re-run
-  /// attach_schedule + on_neighbor_rebuild before the next compute() when
-  /// swapping TO Sdc or CellTask. No-op when `strategy` is already active.
+  /// replicas, lock pool) on demand and drops a stale SDC schedule when
+  /// leaving Sdc; the pair cache and fused one-region pipeline carry over
+  /// untouched. The caller must re-run attach_schedule +
+  /// on_neighbor_rebuild before the next compute() when swapping TO Sdc.
+  /// No-op when `strategy` is already active.
   /// Throws PreconditionError on a swap that changes the required
   /// neighbor-list mode (to or from RedundantComputation) - the ladder
   /// never does that.
@@ -142,10 +122,10 @@ class EamForceComputer {
   const EamPotential& potential() const { return potential_; }
 
   /// Tile pad width the neighbor list must be built with for compute() to
-  /// take the SoA fast path: the SIMD vector width when this configuration
-  /// is eligible (tabulated potential + spline tables + pair cache or RC),
-  /// 0 when the scalar path would run anyway. Stable across governor
-  /// hot-swaps (the ladder never crosses the RC mode boundary).
+  /// take the SoA fast path: the SIMD vector width under
+  /// RedundantComputation with a tabulated potential, spline tables and
+  /// use_soa_path; 0 otherwise. Stable across governor hot-swaps (the
+  /// ladder never crosses the RC mode boundary).
   int neighbor_pad_width() const;
 
   /// Wall time per phase ("density", "embed", "force"), cumulative.
@@ -173,9 +153,6 @@ class EamForceComputer {
   /// The SDC schedule, or nullptr for non-SDC strategies.
   const SdcSchedule* schedule() const { return schedule_.get(); }
 
-  /// The cell-task block grid, or nullptr for non-CellTask strategies.
-  const CellTaskSchedule* task_schedule() const { return task_sched_.get(); }
-
   /// Single-threaded reference evaluation into caller-owned scratch, used
   /// by the governor's periodic shadow validation: same spline tables as
   /// compute(), no pair cache, no timers/stats/profiler mutation. `list`
@@ -196,13 +173,10 @@ class EamForceComputer {
   const EamPotential& potential_;
   EamForceConfig config_;
   std::unique_ptr<SdcSchedule> schedule_;
-  std::unique_ptr<CellTaskSchedule> task_sched_;
-  std::unique_ptr<CellTaskRuntime> task_rt_;
-  std::unique_ptr<LockPool> task_locks_;  ///< one lock per cell block
   std::unique_ptr<SapWorkspace> sap_;
   std::unique_ptr<LockPool> locks_;
   std::unique_ptr<PairCache> cache_;
-  std::unique_ptr<SoaWorkspace> soa_;  ///< allocated on first SoA compute()
+  std::unique_ptr<SoaWorkspace> soa_;  ///< allocated on first RC SoA compute()
   // Per-thread partial sums for the fused parallel pipeline (indexed by
   // omp thread id; summed in thread order for deterministic totals).
   std::vector<double> embed_parts_;

@@ -18,21 +18,6 @@ namespace sdcmd::detail {
 
 void density_critical_team(const EamArgs& a, std::span<double> rho) {
   const std::size_t n = a.x.size();
-  if (a.soa.active()) {
-    double* __restrict out = rho.data();
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      const double rho_i =
-          soa_density_atom(a.soa, a.cutoff2, i,
-                           [out](std::uint32_t j, double phi) {
-#pragma omp critical(sdcmd_density)
-                             out[j] += phi;
-                           });
-#pragma omp critical(sdcmd_density)
-      out[i] += rho_i;
-    }
-    return;
-  }
   const auto& index = a.list.neigh_index();
 #pragma omp for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
@@ -54,21 +39,6 @@ void density_critical_team(const EamArgs& a, std::span<double> rho) {
 
 void density_atomic_team(const EamArgs& a, std::span<double> rho) {
   const std::size_t n = a.x.size();
-  if (a.soa.active()) {
-    double* __restrict out = rho.data();
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      const double rho_i =
-          soa_density_atom(a.soa, a.cutoff2, i,
-                           [out](std::uint32_t j, double phi) {
-#pragma omp atomic
-                             out[j] += phi;
-                           });
-#pragma omp atomic
-      out[i] += rho_i;
-    }
-    return;
-  }
   const auto& index = a.list.neigh_index();
 #pragma omp for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
@@ -96,35 +66,6 @@ void force_critical_team(const EamArgs& a, std::span<const double> fp,
   const std::size_t n = a.x.size();
   double energy = 0.0;
   double virial = 0.0;
-  if (a.soa.active()) {
-    Vec3* __restrict out = force.data();
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      SoaForceOut o;
-      soa_force_atom(a.soa, fp.data(), fp[i], i, o,
-                     [out](std::uint32_t j, double fx, double fy, double fz) {
-#pragma omp critical(sdcmd_force)
-                       {
-                         out[j].x -= fx;
-                         out[j].y -= fy;
-                         out[j].z -= fz;
-                       }
-                     });
-      // Atom i is scattered to by other threads' j sides too.
-#pragma omp critical(sdcmd_force)
-      {
-        out[i].x += o.fx;
-        out[i].y += o.fy;
-        out[i].z += o.fz;
-      }
-      energy += o.energy;
-      virial += o.virial;
-    }
-    const int tid = omp_get_thread_num();
-    energy_parts[tid] = energy;
-    virial_parts[tid] = virial;
-    return;
-  }
   const auto& index = a.list.neigh_index();
 #pragma omp for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
@@ -159,34 +100,6 @@ void force_atomic_team(const EamArgs& a, std::span<const double> fp,
   const std::size_t n = a.x.size();
   double energy = 0.0;
   double virial = 0.0;
-  if (a.soa.active()) {
-    Vec3* __restrict out = force.data();
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      SoaForceOut o;
-      soa_force_atom(a.soa, fp.data(), fp[i], i, o,
-                     [out](std::uint32_t j, double fx, double fy, double fz) {
-#pragma omp atomic
-                       out[j].x -= fx;
-#pragma omp atomic
-                       out[j].y -= fy;
-#pragma omp atomic
-                       out[j].z -= fz;
-                     });
-#pragma omp atomic
-      out[i].x += o.fx;
-#pragma omp atomic
-      out[i].y += o.fy;
-#pragma omp atomic
-      out[i].z += o.fz;
-      energy += o.energy;
-      virial += o.virial;
-    }
-    const int tid = omp_get_thread_num();
-    energy_parts[tid] = energy;
-    virial_parts[tid] = virial;
-    return;
-  }
   const auto& index = a.list.neigh_index();
 #pragma omp for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {

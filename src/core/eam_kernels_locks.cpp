@@ -15,20 +15,6 @@ namespace sdcmd::detail {
 void density_locks_team(const EamArgs& a, LockPool& locks,
                         std::span<double> rho) {
   const std::size_t n = a.x.size();
-  if (a.soa.active()) {
-    double* __restrict out = rho.data();
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      const double rho_i = soa_density_atom(
-          a.soa, a.cutoff2, i, [out, &locks](std::uint32_t j, double phi) {
-            LockPool::Guard guard(locks, j);
-            out[j] += phi;
-          });
-      LockPool::Guard guard(locks, i);
-      out[i] += rho_i;
-    }
-    return;
-  }
   const auto& index = a.list.neigh_index();
 #pragma omp for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
@@ -57,33 +43,6 @@ void force_locks_team(const EamArgs& a, LockPool& locks,
   const std::size_t n = a.x.size();
   double energy = 0.0;
   double virial = 0.0;
-  if (a.soa.active()) {
-    Vec3* __restrict out = force.data();
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      SoaForceOut o;
-      soa_force_atom(
-          a.soa, fp.data(), fp[i], i, o,
-          [out, &locks](std::uint32_t j, double fx, double fy, double fz) {
-            LockPool::Guard guard(locks, j);
-            out[j].x -= fx;
-            out[j].y -= fy;
-            out[j].z -= fz;
-          });
-      {
-        LockPool::Guard guard(locks, i);
-        out[i].x += o.fx;
-        out[i].y += o.fy;
-        out[i].z += o.fz;
-      }
-      energy += o.energy;
-      virial += o.virial;
-    }
-    const int tid = omp_get_thread_num();
-    energy_parts[tid] = energy;
-    virial_parts[tid] = virial;
-    return;
-  }
   const auto& index = a.list.neigh_index();
 #pragma omp for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {

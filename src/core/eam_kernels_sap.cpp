@@ -45,27 +45,17 @@ void density_sap_team(const EamArgs& a, std::span<double> rho,
   const auto& index = a.list.neigh_index();
   std::vector<double>& mine = my_replica(priv, n);
   // No barrier needed before the scatter: each thread touches only `mine`.
-  if (a.soa.active()) {
-    double* __restrict rep = mine.data();
 #pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      rep[i] += soa_density_atom(
-          a.soa, a.cutoff2, i,
-          [rep](std::uint32_t j, double phi) { rep[j] += phi; });
-    }
-  } else {
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      const Vec3 xi = a.x[i];
-      const auto nbrs = a.list.neighbors(i);
-      const std::size_t base = index[i];
-      for (std::size_t k = 0; k < nbrs.size(); ++k) {
-        const std::uint32_t j = nbrs[k];
-        double phi;
-        if (!density_pair(a, xi, j, base + k, phi)) continue;
-        mine[i] += phi;
-        mine[j] += phi;
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec3 xi = a.x[i];
+    const auto nbrs = a.list.neighbors(i);
+    const std::size_t base = index[i];
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const std::uint32_t j = nbrs[k];
+      double phi;
+      if (!density_pair(a, xi, j, base + k, phi)) continue;
+      mine[i] += phi;
+      mine[j] += phi;
     }
   }
   // Merge: each thread owns a contiguous index range and sums that range
@@ -90,42 +80,23 @@ void force_sap_team(const EamArgs& a, std::span<const double> fp,
   std::vector<Vec3>& mine = my_replica(priv, n);
   double energy = 0.0;
   double virial = 0.0;
-  if (a.soa.active()) {
-    Vec3* __restrict rep = mine.data();
 #pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      SoaForceOut o;
-      soa_force_atom(a.soa, fp.data(), fp[i], i, o,
-                     [rep](std::uint32_t j, double fx, double fy, double fz) {
-                       rep[j].x -= fx;
-                       rep[j].y -= fy;
-                       rep[j].z -= fz;
-                     });
-      rep[i].x += o.fx;
-      rep[i].y += o.fy;
-      rep[i].z += o.fz;
-      energy += o.energy;
-      virial += o.virial;
-    }
-  } else {
-#pragma omp for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      const Vec3 xi = a.x[i];
-      const double fp_i = fp[i];
-      const auto nbrs = a.list.neighbors(i);
-      const std::size_t base = index[i];
-      for (std::size_t k = 0; k < nbrs.size(); ++k) {
-        const std::uint32_t j = nbrs[k];
-        Vec3 fv;
-        double v, rvir;
-        if (!force_pair(a, xi, j, base + k, fp_i + fp[j], fv, v, rvir)) {
-          continue;
-        }
-        mine[i] += fv;
-        mine[j] -= fv;
-        energy += v;
-        virial += rvir;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec3 xi = a.x[i];
+    const double fp_i = fp[i];
+    const auto nbrs = a.list.neighbors(i);
+    const std::size_t base = index[i];
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const std::uint32_t j = nbrs[k];
+      Vec3 fv;
+      double v, rvir;
+      if (!force_pair(a, xi, j, base + k, fp_i + fp[j], fv, v, rvir)) {
+        continue;
       }
+      mine[i] += fv;
+      mine[j] -= fv;
+      energy += v;
+      virial += rvir;
     }
   }
 #pragma omp for schedule(static)

@@ -35,18 +35,6 @@ namespace {
 /// Density work for every atom of one subdomain slot.
 inline void density_slot(const EamArgs& a, const Partition& part,
                          std::size_t slot, std::span<double> rho) {
-  if (a.soa.active()) {
-    // Same-color subdomains are conflict-free by construction, so the
-    // scatter needs no protection - the SDC strategy keeps plain adds
-    // even on the SoA path.
-    double* __restrict out = rho.data();
-    for (std::uint32_t i : part.atoms_in_slot(slot)) {
-      out[i] += soa_density_atom(
-          a.soa, a.cutoff2, i,
-          [out](std::uint32_t j, double phi) { out[j] += phi; });
-    }
-    return;
-  }
   const auto& index = a.list.neigh_index();
   for (std::uint32_t i : part.atoms_in_slot(slot)) {
     const Vec3 xi = a.x[i];
@@ -69,24 +57,6 @@ inline void force_slot(const EamArgs& a, const Partition& part,
                        std::size_t slot, std::span<const double> fp,
                        std::span<Vec3> force, double& energy,
                        double& virial) {
-  if (a.soa.active()) {
-    Vec3* __restrict out = force.data();
-    for (std::uint32_t i : part.atoms_in_slot(slot)) {
-      SoaForceOut o;
-      soa_force_atom(a.soa, fp.data(), fp[i], i, o,
-                     [out](std::uint32_t j, double fx, double fy, double fz) {
-                       out[j].x -= fx;
-                       out[j].y -= fy;
-                       out[j].z -= fz;
-                     });
-      out[i].x += o.fx;
-      out[i].y += o.fy;
-      out[i].z += o.fz;
-      energy += o.energy;
-      virial += o.virial;
-    }
-    return;
-  }
   const auto& index = a.list.neigh_index();
   for (std::uint32_t i : part.atoms_in_slot(slot)) {
     const Vec3 xi = a.x[i];

@@ -9,6 +9,8 @@
 // devirtualized-spline paths as the parallel strategies.
 #include <omp.h>
 
+#include <algorithm>
+
 #include "common/timer.hpp"
 #include "core/detail/eam_kernels.hpp"
 
@@ -16,15 +18,6 @@ namespace sdcmd::detail {
 
 void density_serial(const EamArgs& a, std::span<double> rho) {
   const std::size_t n = a.x.size();
-  if (a.soa.active()) {
-    double* __restrict out = rho.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] += soa_density_atom(
-          a.soa, a.cutoff2, i,
-          [out](std::uint32_t j, double phi) { out[j] += phi; });
-    }
-    return;
-  }
   const auto& index = a.list.neigh_index();
   for (std::size_t i = 0; i < n; ++i) {
     const Vec3 xi = a.x[i];
@@ -45,9 +38,6 @@ void density_serial(const EamArgs& a, std::span<double> rho) {
 double embed_serial(const EamArgs& a, std::span<const double> rho,
                     std::span<double> fp) {
   const std::size_t n = rho.size();
-  if (a.soa.active()) {
-    return soa_embed_range(a.soa.embed, rho.data(), fp.data(), 0, n);
-  }
   double energy = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     double f, dfdrho;
@@ -156,28 +146,6 @@ double embed_phase(const EamPotential& pot, std::span<const double> rho,
 void force_serial(const EamArgs& a, std::span<const double> fp,
                   std::span<Vec3> force, ForceSums& sums) {
   const std::size_t n = a.x.size();
-  if (a.soa.active()) {
-    Vec3* __restrict out = force.data();
-    double energy = 0.0;
-    double virial = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      SoaForceOut o;
-      soa_force_atom(a.soa, fp.data(), fp[i], i, o,
-                     [out](std::uint32_t j, double fx, double fy, double fz) {
-                       out[j].x -= fx;  // Newton's third law
-                       out[j].y -= fy;
-                       out[j].z -= fz;
-                     });
-      out[i].x += o.fx;
-      out[i].y += o.fy;
-      out[i].z += o.fz;
-      energy += o.energy;
-      virial += o.virial;
-    }
-    sums.pair_energy = energy;
-    sums.virial = virial;
-    return;
-  }
   const auto& index = a.list.neigh_index();
   double energy = 0.0;
   double virial = 0.0;

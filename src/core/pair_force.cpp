@@ -317,12 +317,6 @@ PairForceResult PairForceComputer::compute(const Box& box,
       run_sdc(args, schedule_->partition(), force, result,
               config_.dynamic_schedule);
       break;
-    case ReductionStrategy::CellTask:
-      // The pair backend implements no cell-task kernels; drivers must
-      // clear GovernorConfig::enable_celltask so the ladder skips this
-      // rung (Simulation::set_governor does).
-      throw PreconditionError(
-          "pair backend does not implement the celltask strategy");
   }
   return result;
 }

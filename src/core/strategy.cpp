@@ -16,7 +16,6 @@ std::string to_string(ReductionStrategy s) {
     case ReductionStrategy::ArrayPrivatization: return "sap";
     case ReductionStrategy::RedundantComputation: return "rc";
     case ReductionStrategy::Sdc: return "sdc";
-    case ReductionStrategy::CellTask: return "celltask";
   }
   return "?";
 }
@@ -41,9 +40,6 @@ ReductionStrategy parse_strategy(const std::string& name) {
     return ReductionStrategy::RedundantComputation;
   }
   if (lower == "sdc" || lower == "coloring") return ReductionStrategy::Sdc;
-  if (lower == "celltask" || lower == "cell-task" || lower == "task") {
-    return ReductionStrategy::CellTask;
-  }
   throw PreconditionError("unknown reduction strategy '" + name + "'");
 }
 

@@ -27,12 +27,6 @@ enum class ReductionStrategy {
   /// The paper's contribution: spatial decomposition coloring. Race-free
   /// scatter via color-wise sweeps separated by implicit barriers.
   Sdc,
-  /// Mangiardi/Meyer hybrid cell-task shape (arXiv:1611.00075): cell
-  /// blocks become work-stealing tasks with per-block locks taken only on
-  /// actual cross-block conflict, so threads never idle at a color
-  /// boundary. Wins on inhomogeneous systems where SDC's even split
-  /// load-balances badly.
-  CellTask,
 };
 
 /// All strategies, in the order benches report them.
@@ -44,14 +38,12 @@ inline constexpr ReductionStrategy kAllStrategies[] = {
     ReductionStrategy::ArrayPrivatization,
     ReductionStrategy::RedundantComputation,
     ReductionStrategy::Sdc,
-    ReductionStrategy::CellTask,
 };
 
 std::string to_string(ReductionStrategy s);
 
 /// Parse "serial" / "critical" / "atomic" / "locks" / "sap" / "rc" /
-/// "sdc" / "celltask" (also accepts the long names). Throws
-/// PreconditionError on junk.
+/// "sdc" (also accepts the long names). Throws PreconditionError on junk.
 ReductionStrategy parse_strategy(const std::string& name);
 
 /// The neighbor-list flavor a strategy's kernels need: Full for

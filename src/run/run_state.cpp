@@ -227,7 +227,8 @@ RunState parse_run_state(const std::string& json) {
     throw ParseError("run_state: step must be non-negative");
   }
   // Decode the governor rung defensively: a sidecar written by a NEWER
-  // ladder may carry a code this build has never heard of (codes are
+  // ladder may carry a code this build has never heard of, and one written
+  // by an older ladder may carry the retired cell-task code 7 (codes are
   // append-only, so misdecoding is impossible — but so is guessing).
   // Dropping only the governor block keeps the rest of the sidecar (step,
   // dt, momentum flag, checkpoint pointer) usable: the resumed run falls
@@ -239,7 +240,7 @@ RunState parse_run_state(const std::string& json) {
   } else if (state.has_governor) {
     SDCMD_WARN("run_state: unknown or off-ladder governor strategy code "
                << strategy_code
-               << " (written by a newer build?); ignoring the saved "
+               << " (a retired rung or a newer build); ignoring the saved "
                   "governor state");
     state.has_governor = false;
     state.governor = GovernorState{};

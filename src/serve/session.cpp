@@ -119,7 +119,7 @@ SessionSpec SessionSpec::parse(const std::string& json) {
   }
   // Reject unusable strategy codes at admission, not deep inside
   // materialize(): a client built against a newer ladder may send a code
-  // this server has never heard of.
+  // this server has never heard of, and an older one the retired code 7.
   const std::optional<ReductionStrategy> strat =
       StrategyGovernor::try_strategy_from_code(spec.strategy_code);
   if (!strat) {

@@ -11,6 +11,8 @@
 #include "common/error.hpp"
 #include "common/random.hpp"
 #include "common/units.hpp"
+#include "core/sdc_schedule.hpp"
+#include "geom/defects.hpp"
 #include "geom/lattice.hpp"
 #include "potential/finnis_sinclair.hpp"
 #include "potential/tabulated.hpp"
@@ -43,6 +45,10 @@ struct Workload {
         r = box.wrap(r);
       }
     }
+    build_lists();
+  }
+
+  void build_lists() {
     NeighborListConfig cfg;
     cfg.cutoff = potential.cutoff();
     cfg.skin = kSkin;
@@ -52,6 +58,18 @@ struct Workload {
     full = std::make_unique<NeighborList>(box, cfg);
     full->build(positions);
   }
+
+  /// Carve a centered spherical void of radius `fraction` x edge: the
+  /// inhomogeneous load of the void drill. Returns the atoms removed.
+  std::size_t carve_void(double fraction) {
+    const Vec3 center = (box.lo() + box.hi()) * 0.5;
+    const std::size_t removed =
+        carve_sphere(positions, box, center, fraction * box.length(0));
+    build_lists();
+    return removed;
+  }
+
+  double range() const { return potential.cutoff() + kSkin; }
 
   struct Output {
     std::vector<double> rho, fp;
@@ -112,6 +130,54 @@ TEST_P(StrategyEquivalenceTest, MatchesSerialKernel) {
   const auto serial = w.run(ReductionStrategy::Serial);
   const auto other = w.run(GetParam());
   expect_outputs_match(serial, other, 1e-10);
+}
+
+/// 12^3 cells with a centered void of radius 0.45 x edge (~38% of the
+/// atoms removed). Under 3-D SDC the box splits into 4^3 subdomains of
+/// 8.6 A; the eight that touch the box center lie wholly inside the void.
+constexpr int kVoidCells = 12;
+constexpr double kVoidFraction = 0.45;
+constexpr int kVoidSdcDims = 3;
+
+TEST(EamForce, CarvedVoidEmptiesSdcSubdomains) {
+  // Pins the premise of MatchesSerialOnCarvedVoid: SDC really sweeps
+  // empty subdomains there.
+  Workload w(kVoidCells);
+  EXPECT_GT(w.carve_void(kVoidFraction), 0u);
+  SdcConfig cfg;
+  cfg.dimensionality = kVoidSdcDims;
+  SdcSchedule sched(w.box, w.range(), cfg);
+  sched.rebuild(w.positions);
+  const Partition& part = sched.partition();
+  std::size_t empty = 0;
+  const std::size_t slots = part.color_end(sched.color_count() - 1);
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    if (part.atoms_in_slot(slot).empty()) ++empty;
+  }
+  EXPECT_GE(empty, 8u) << sched.describe();
+}
+
+TEST_P(StrategyEquivalenceTest, MatchesSerialOnCarvedVoid) {
+  // The inhomogeneous input the void drill times: every strategy must
+  // still reproduce the serial kernel to 1e-12 (absolute, per component),
+  // SDC included while some of its color members sweep empty subdomains.
+  Workload w(kVoidCells);
+  w.carve_void(kVoidFraction);
+  const auto serial = w.run(ReductionStrategy::Serial, kVoidSdcDims);
+  const auto other = w.run(GetParam(), kVoidSdcDims);
+  ASSERT_EQ(serial.rho.size(), other.rho.size());
+  for (std::size_t i = 0; i < serial.rho.size(); ++i) {
+    EXPECT_NEAR(serial.rho[i], other.rho[i], 1e-12) << "rho, atom " << i;
+    EXPECT_NEAR(serial.force[i].x, other.force[i].x, 1e-12) << "atom " << i;
+    EXPECT_NEAR(serial.force[i].y, other.force[i].y, 1e-12) << "atom " << i;
+    EXPECT_NEAR(serial.force[i].z, other.force[i].z, 1e-12) << "atom " << i;
+  }
+  EXPECT_NEAR(serial.result.pair_energy, other.result.pair_energy,
+              1e-12 * std::abs(serial.result.pair_energy));
+  EXPECT_NEAR(serial.result.embedding_energy, other.result.embedding_energy,
+              1e-12 * std::abs(serial.result.embedding_energy));
+  EXPECT_NEAR(serial.result.virial, other.result.virial,
+              1e-12 * std::max(1.0, std::abs(serial.result.virial)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

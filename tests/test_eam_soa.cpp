@@ -1,9 +1,9 @@
-// SoA fast-path correctness (ISSUE 8): the SIMD structure-of-arrays EAM
-// loops must reproduce the scalar reference to 1e-12 for every reduction
-// strategy, including sentinel-padded tail tiles, odd atom counts, and a
-// post-update_box mirror refresh; the padded-tile emission and the
-// interval-indexed (packed) spline layout are pinned against their scalar
-// counterparts.
+// SoA fast-path correctness: the SIMD structure-of-arrays loops
+// of RedundantComputation must reproduce its scalar reference to 1e-12,
+// including sentinel-padded tail tiles, odd atom counts, and a
+// post-update_box mirror refresh; every half-list strategy must keep its
+// scalar loops; the padded-tile emission and the interval-indexed (packed)
+// spline layout are pinned against their scalar counterparts.
 #include "core/detail/eam_soa.hpp"
 
 #include <gtest/gtest.h>
@@ -83,7 +83,6 @@ struct SoaWorkload {
     cfg.strategy = strategy;
     cfg.sdc.dimensionality = 2;
     cfg.use_soa_path = soa;
-    cfg.soa_half_lists = true;  // the test measures every strategy
     return run(cfg);
   }
 
@@ -122,56 +121,43 @@ void expect_equivalent(const SoaWorkload::Output& scalar,
               kTol * std::max(1.0, std::abs(scalar.result.virial)));
 }
 
-class SoaEquivalenceTest
-    : public ::testing::TestWithParam<ReductionStrategy> {};
+constexpr ReductionStrategy kRc = ReductionStrategy::RedundantComputation;
 
-TEST_P(SoaEquivalenceTest, SoaMatchesScalarPath) {
-  // 6 cells: the smallest cube that fits two SDC subdomains per dimension.
+TEST(SoaEquivalenceTest, SoaMatchesScalarPath) {
   SoaWorkload w(6);
-  const auto scalar = w.run(GetParam(), /*soa=*/false);
-  const auto soa = w.run(GetParam(), /*soa=*/true);
+  const auto scalar = w.run(kRc, /*soa=*/false);
+  const auto soa = w.run(kRc, /*soa=*/true);
   EXPECT_EQ(scalar.stats.soa_steps, 0u);
   EXPECT_EQ(soa.stats.soa_steps, 1u) << "SoA path did not engage";
   expect_equivalent(scalar, soa);
 }
 
-TEST_P(SoaEquivalenceTest, SoaMatchesScalarPathOddAtomCount) {
+TEST(SoaEquivalenceTest, SoaMatchesScalarPathOddAtomCount) {
   SoaWorkload w(6, /*odd_atom_count=*/true);
   ASSERT_EQ(w.positions.size() % 2, 1u);
-  const auto scalar = w.run(GetParam(), /*soa=*/false);
-  const auto soa = w.run(GetParam(), /*soa=*/true);
+  const auto scalar = w.run(kRc, /*soa=*/false);
+  const auto soa = w.run(kRc, /*soa=*/true);
   EXPECT_EQ(soa.stats.soa_steps, 1u) << "SoA path did not engage";
   expect_equivalent(scalar, soa);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, SoaEquivalenceTest,
-    ::testing::Values(ReductionStrategy::Serial, ReductionStrategy::Critical,
-                      ReductionStrategy::Atomic, ReductionStrategy::LockStriped,
-                      ReductionStrategy::ArrayPrivatization,
-                      ReductionStrategy::RedundantComputation,
-                      ReductionStrategy::Sdc),
-    [](const ::testing::TestParamInfo<ReductionStrategy>& info) {
-      return to_string(info.param);
-    });
 
 TEST(SoaRefreshTest, MirrorRefreshesAfterUpdateBox) {
   // The SoA position mirror is refreshed from `positions` every step; a
   // box change (deform/barostat path) plus rebuilt lists must therefore
   // still match the scalar path exactly.
   SoaWorkload w(5);
-  const auto before_scalar = w.run(ReductionStrategy::Serial, false);
-  const auto before_soa = w.run(ReductionStrategy::Serial, true);
+  const auto before_scalar = w.run(kRc, false);
+  const auto before_soa = w.run(kRc, true);
   expect_equivalent(before_scalar, before_soa);
 
   const double scale = 1.01;
   w.box = Box::cubic(w.box.lengths().x * scale);
   for (auto& r : w.positions) r = w.box.wrap(r * scale);
-  EXPECT_FALSE(w.half->update_box(w.box));  // same grid shape, reused
+  EXPECT_FALSE(w.full->update_box(w.box));  // same grid shape, reused
   w.rebuild_lists();
 
-  const auto after_scalar = w.run(ReductionStrategy::Serial, false);
-  const auto after_soa = w.run(ReductionStrategy::Serial, true);
+  const auto after_scalar = w.run(kRc, false);
+  const auto after_soa = w.run(kRc, true);
   expect_equivalent(after_scalar, after_soa);
   // The deformation genuinely changed the answer (the test isn't vacuous).
   EXPECT_NE(after_scalar.result.pair_energy, before_scalar.result.pair_energy);
@@ -184,7 +170,7 @@ TEST(SoaGatingTest, PadFractionGaugeClearsWhenThePathDisengages) {
   // stale value from the last SoA step must not linger in stats().
   SoaWorkload w(5);
   EamForceConfig cfg;
-  cfg.strategy = ReductionStrategy::RedundantComputation;  // SoA-by-default
+  cfg.strategy = kRc;  // SoA-by-default
   EamForceComputer computer(w.tab, cfg);
   std::vector<double> rho(w.positions.size()), fp(w.positions.size());
   std::vector<Vec3> force(w.positions.size());
@@ -203,49 +189,54 @@ TEST(SoaGatingTest, PadFractionGaugeClearsWhenThePathDisengages) {
   EXPECT_EQ(computer.stats().soa_pad_fraction, 0.0);
 }
 
-TEST(SoaGatingTest, HalfListStrategiesNeedExplicitOptIn) {
-  // Production heuristic: half-list scatter strategies measured slower
-  // under SoA, so use_soa_path alone must NOT engage them...
+TEST(SoaGatingTest, OnlyRcEngages) {
+  // The half-list strategies have no SoA form: even with use_soa_path, a
+  // tabulated potential and a padded list they run their scalar loops...
+  // 6 cells: the smallest cube that fits two SDC subdomains per dimension.
   SoaWorkload w(6);
   EamForceConfig cfg;
-  cfg.strategy = ReductionStrategy::Sdc;
   cfg.sdc.dimensionality = 2;
-  cfg.use_soa_path = true;
-  cfg.soa_half_lists = false;
-  const auto sdc = w.run(cfg);
-  EXPECT_EQ(sdc.stats.soa_steps, 0u);
-  EXPECT_EQ(sdc.stats.soa_pad_fraction, 0.0);
+  for (const ReductionStrategy s : kAllStrategies) {
+    if (s == kRc) continue;
+    cfg.strategy = s;
+    const auto out = w.run(cfg);
+    EXPECT_EQ(out.stats.soa_steps, 0u) << to_string(s);
+    EXPECT_EQ(out.stats.soa_pad_fraction, 0.0) << to_string(s);
+  }
 
   // ...while RC's full-list gathers engage by default.
-  cfg.strategy = ReductionStrategy::RedundantComputation;
+  cfg.strategy = kRc;
   const auto rc = w.run(cfg);
   EXPECT_EQ(rc.stats.soa_steps, 1u);
   EXPECT_EQ(rc.stats.soa_pad_fraction, w.full->pad_fraction());
 }
 
-TEST(SoaGatingTest, NeighborPadWidthFollowsTheHeuristic) {
+TEST(SoaGatingTest, NeighborPadWidthIsNonZeroOnlyForRc) {
   SoaWorkload w(4);
   auto pad_width = [&](EamForceConfig cfg) {
     EamForceComputer computer(w.tab, cfg);
     return computer.neighbor_pad_width();
   };
   EamForceConfig cfg;
-  cfg.strategy = ReductionStrategy::RedundantComputation;
+  cfg.strategy = kRc;
   EXPECT_EQ(pad_width(cfg), detail::kSoaPadWidth);
   cfg.use_soa_path = false;
   EXPECT_EQ(pad_width(cfg), 0);
-
   cfg = {};
-  cfg.strategy = ReductionStrategy::Sdc;
-  EXPECT_EQ(pad_width(cfg), 0);  // half list, no opt-in
-  cfg.soa_half_lists = true;
-  EXPECT_EQ(pad_width(cfg), detail::kSoaPadWidth);
-  cfg.use_pair_cache = false;  // replay loop needs the cache
+  cfg.strategy = kRc;
+  cfg.use_spline_tables = false;
   EXPECT_EQ(pad_width(cfg), 0);
+
+  for (const ReductionStrategy s : kAllStrategies) {
+    if (s == kRc) continue;
+    cfg = {};
+    cfg.strategy = s;
+    EXPECT_EQ(pad_width(cfg), 0) << to_string(s);
+  }
 
   // Analytic potentials expose no spline tables: never padded.
   EamForceConfig rc_cfg;
-  rc_cfg.strategy = ReductionStrategy::RedundantComputation;
+  rc_cfg.strategy = kRc;
   EamForceComputer analytic(w.fe, rc_cfg);
   EXPECT_EQ(analytic.neighbor_pad_width(), 0);
 }

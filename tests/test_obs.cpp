@@ -777,7 +777,7 @@ std::vector<std::string> sweep_records(const std::string& line) {
 }  // namespace
 
 TEST(SimulationInstrumentation, SweepProfilerReshapesWhenGovernorDropsColors) {
-  // A governor demotion from SDC to the cell-task shape collapses the
+  // A governor demotion from SDC to ArrayPrivatization collapses the
   // profiler's (colors x threads) sample store to the colorless 1-color
   // shape MID-RUN. Every JSONL record on both sides of the collapse must
   // be complete — a torn record (stale color indices surviving the
@@ -819,18 +819,18 @@ TEST(SimulationInstrumentation, SweepProfilerReshapesWhenGovernorDropsColors) {
   sim.run(12);
   FaultInjector::instance().disarm_all();
   set_log_level(saved);
-  ASSERT_EQ(sim.governor()->active(), ReductionStrategy::CellTask);
+  ASSERT_EQ(sim.governor()->active(), ReductionStrategy::ArrayPrivatization);
 
   jsonl.flush();
   std::ifstream in(jsonl_path);
   std::string line;
-  const double celltask_code = static_cast<double>(
-      StrategyGovernor::strategy_code(ReductionStrategy::CellTask));
+  const double sap_code = static_cast<double>(
+      StrategyGovernor::strategy_code(ReductionStrategy::ArrayPrivatization));
   const char* keys[] = {"\"phase\":",      "\"color\":",      "\"threads\":",
                         "\"work_max_s\":", "\"work_mean_s\":", "\"work_min_s\":",
                         "\"imbalance\":",  "\"wait_max_s\":",  "\"wait_mean_s\":"};
-  int sdc_steps = 0, task_steps = 0;
-  bool saw_task_shape = false, saw_gauge_flip = false;
+  int sdc_steps = 0, sap_steps = 0;
+  bool saw_sap_shape = false, saw_gauge_flip = false;
   while (std::getline(in, line)) {
     ASSERT_FALSE(line.empty());
     ASSERT_EQ(line.back(), '}') << "torn (truncated) JSONL record: " << line;
@@ -849,29 +849,28 @@ TEST(SimulationInstrumentation, SweepProfilerReshapesWhenGovernorDropsColors) {
     // The demotion fires at the END of the fault step (the box-shrink is a
     // barostat-shaped end-of-step event), so that one line carries the new
     // gauge value alongside the last SDC-shaped sweep. The collapse itself
-    // must be monotone: once the 1-color task shape appears, no later step
+    // must be monotone: once the 1-color SAP shape appears, no later step
     // may emit a multi-color record (a stale color index surviving the
     // reshape is exactly the torn-record bug this test pins).
     if (max_color == 0) {
-      saw_task_shape = true;
-      ++task_steps;
+      saw_sap_shape = true;
+      ++sap_steps;
     } else {
-      EXPECT_FALSE(saw_task_shape)
+      EXPECT_FALSE(saw_sap_shape)
           << "multi-color sweep after the colorless collapse: " << line;
       ++sdc_steps;
     }
-    if (json_number(line, "governor.active_strategy", -1.0) ==
-        celltask_code) {
+    if (json_number(line, "governor.active_strategy", -1.0) == sap_code) {
       saw_gauge_flip = true;
     } else {
       EXPECT_FALSE(saw_gauge_flip) << "gauge flipped back: " << line;
       EXPECT_EQ(max_color == 0, false)
-          << "task-shaped sweep before the demotion: " << line;
+          << "SAP-shaped sweep before the demotion: " << line;
     }
   }
   EXPECT_TRUE(saw_gauge_flip);
   EXPECT_GE(sdc_steps, 4);   // steps before the fault fired
-  EXPECT_GE(task_steps, 6);  // steps after the collapse
+  EXPECT_GE(sap_steps, 6);  // steps after the collapse
   std::remove(jsonl_path.c_str());
 }
 

@@ -147,41 +147,31 @@ TEST_F(RunSupervisorTest, RunStateParseErrorsCarryByteOffsets) {
                ParseError);
 }
 
-TEST_F(RunSupervisorTest, RunStateCellTaskRungRoundTrips) {
-  // The newest ladder rung's code (celltask = 7) must survive the sidecar.
-  RunState state;
-  state.step = 42;
-  state.dt = 0.5;
-  state.has_governor = true;
-  state.governor.active = ReductionStrategy::CellTask;
-  state.governor.demotions = 1;
-  state.governor.backoff = 2;
-  const RunState back = parse_run_state(to_json(state));
-  ASSERT_TRUE(back.has_governor);
-  EXPECT_EQ(back.governor.active, ReductionStrategy::CellTask);
-  EXPECT_EQ(back.governor.demotions, 1);
-  EXPECT_EQ(back.governor.backoff, 2);
-}
-
 TEST_F(RunSupervisorTest, UnknownGovernorCodeDropsGovernorKeepsSidecar) {
-  // A sidecar written by a NEWER ladder carries a strategy code this build
-  // does not know. The old behavior threw, which made the resume machinery
-  // discard the whole sidecar; the contract is to drop only the governor
-  // block (fresh setup on resume) and keep every other restored field.
-  const std::string json =
-      "{\"schema\": \"sdcmd.run_state.v1\", \"step\": 77, \"dt\": 0.5, "
-      "\"total_energy\": -12.25, \"momentum_zeroed\": true, "
-      "\"checkpoint_file\": \"ckpt_0000000077.chk\", "
-      "\"governor\": true, \"governor_strategy\": 99, "
-      "\"governor_demotions\": 3, \"governor_backoff\": 4}";
-  const RunState back = parse_run_state(json);
-  EXPECT_FALSE(back.has_governor);
-  EXPECT_EQ(back.governor.demotions, 0);  // reset, not half-restored
-  EXPECT_EQ(back.step, 77);
-  EXPECT_EQ(back.dt, 0.5);
-  EXPECT_EQ(back.total_energy, -12.25);
-  EXPECT_TRUE(back.momentum_zeroed);
-  EXPECT_EQ(back.checkpoint_file, "ckpt_0000000077.chk");
+  // A sidecar can carry a strategy code this build does not decode: 99
+  // from a NEWER ladder, or 7 from an older one that still had the retired
+  // cell-task rung. The old behavior threw, which made the resume
+  // machinery discard the whole sidecar; the contract is to drop only the
+  // governor block (fresh setup on resume) and keep every other restored
+  // field.
+  for (const int code : {7, 99}) {
+    SCOPED_TRACE("governor_strategy " + std::to_string(code));
+    const std::string json =
+        "{\"schema\": \"sdcmd.run_state.v1\", \"step\": 77, \"dt\": 0.5, "
+        "\"total_energy\": -12.25, \"momentum_zeroed\": true, "
+        "\"checkpoint_file\": \"ckpt_0000000077.chk\", "
+        "\"governor\": true, \"governor_strategy\": " +
+        std::to_string(code) +
+        ", \"governor_demotions\": 3, \"governor_backoff\": 4}";
+    const RunState back = parse_run_state(json);
+    EXPECT_FALSE(back.has_governor);
+    EXPECT_EQ(back.governor.demotions, 0);  // reset, not half-restored
+    EXPECT_EQ(back.step, 77);
+    EXPECT_EQ(back.dt, 0.5);
+    EXPECT_EQ(back.total_energy, -12.25);
+    EXPECT_TRUE(back.momentum_zeroed);
+    EXPECT_EQ(back.checkpoint_file, "ckpt_0000000077.chk");
+  }
 }
 
 TEST_F(RunSupervisorTest, OffLadderGovernorCodeIsAlsoRejected) {
@@ -485,6 +475,73 @@ TEST_F(RunSupervisorTest, ResumeRestoresStepDtAndEnergy) {
   // And the run continues with the original numbering.
   restarted.run(3);
   EXPECT_EQ(restarted.current_step(), 15);
+}
+
+TEST_F(RunSupervisorTest, RetiredRungSidecarResumesOnFreshGovernorSetup) {
+  // An older build's newest sidecar names the retired cell-task rung
+  // (code 7). Resume must still go through: only the governor block is
+  // dropped, the governor re-runs setup and lands on SDC, the reloaded
+  // state reproduces the recorded energy, and the supervisor carries on.
+  const std::string dir = scratch_dir("retired_rung");
+  const std::uint64_t config_hash = fnv1a64("retired_rung fixture");
+  SupervisorConfig cfg;
+  cfg.checkpoint_every = 5;
+  cfg.install_signal_handlers = false;
+  cfg.config_hash = config_hash;
+  {
+    RunDir rd(dir, 3);
+    Simulation sim(make_system(6), iron(), serial_config());
+    sim.set_temperature(60.0, 99);
+    sim.set_governor(GovernorConfig{});
+    ASSERT_EQ(sim.governor()->active(), ReductionStrategy::Sdc);
+    RunSupervisor sup(sim, rd, cfg);
+    EXPECT_EQ(sup.run_to(12), RunOutcome::Completed);
+  }  // original process "dies" here
+
+  // Rewrite the newest sidecar the way the older build would have left it.
+  RunDir rd(dir, 3);
+  const std::string state_path = rd.file_path("run_state.json");
+  std::string text;
+  {
+    std::ifstream in(state_path, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string key = "\"governor_strategy\"";
+  const std::size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  const std::size_t digit = text.find_first_of("0123456789", at + key.size());
+  ASSERT_NE(digit, std::string::npos) << text;
+  ASSERT_EQ(text[digit], '6') << text;  // the run sat on SDC
+  text[digit] = '7';
+  std::ofstream(state_path, std::ios::binary | std::ios::trunc) << text;
+
+  const auto resume = rd.try_resume();
+  ASSERT_TRUE(resume.has_value());
+  EXPECT_EQ(resume->checkpoint.step, 12);
+  ASSERT_TRUE(resume->state_valid);
+  EXPECT_FALSE(resume->state.has_governor);
+  EXPECT_EQ(resume->state.step, 12);
+  EXPECT_EQ(resume->state.config_hash, config_hash);
+  EXPECT_TRUE(resume->state.momentum_zeroed);
+  EXPECT_EQ(resume->state.checkpoint_file, RunDir::checkpoint_name(12));
+
+  Simulation restarted(resume->checkpoint.system, iron(), serial_config());
+  restarted.set_current_step(resume->checkpoint.step);
+  restarted.set_dt(resume->state.dt);
+  restarted.set_com_momentum_zeroed(resume->state.momentum_zeroed);
+  restarted.set_governor(GovernorConfig{});
+  EXPECT_EQ(restarted.governor()->active(), ReductionStrategy::Sdc);
+  EXPECT_EQ(restarted.governor()->demotions(), 0);
+  restarted.compute_forces();
+  const double ref = resume->state.total_energy;
+  const double rel = std::abs(restarted.sample().total_energy() - ref) /
+                     std::max(1.0, std::abs(ref));
+  EXPECT_LE(rel, 1e-8);
+
+  RunSupervisor sup(restarted, rd, cfg);
+  EXPECT_EQ(sup.run_to(20), RunOutcome::Completed);
+  EXPECT_EQ(restarted.current_step(), 20);
+  EXPECT_EQ(restarted.governor()->active(), ReductionStrategy::Sdc);
 }
 
 // ------------------------------------------------- resume hardening (PR 9)

@@ -190,6 +190,26 @@ TEST_F(ServeTest, SessionSpecParseRejectsBadValues) {
                ParseError);
 }
 
+TEST_F(ServeTest, SessionSpecParseRejectsBadStrategyCodes) {
+  const auto spec_json = [](int code, bool governed) {
+    return "{\"schema\": \"sdcmd.session.v1\", \"id\": \"x\", "
+           "\"strategy_code\": " +
+           std::to_string(code) +
+           ", \"governed\": " + (governed ? "true" : "false") + "}";
+  };
+  // Unknown to every ladder version.
+  EXPECT_THROW(SessionSpec::parse(spec_json(99, true)), ParseError);
+  EXPECT_THROW(SessionSpec::parse(spec_json(99, false)), ParseError);
+  // Reserved for the retired cell-task rung: no longer decodes.
+  EXPECT_THROW(SessionSpec::parse(spec_json(7, true)), ParseError);
+  EXPECT_THROW(SessionSpec::parse(spec_json(7, false)), ParseError);
+  // RC decodes but is not a governor ladder rung: only ungoverned runs
+  // may ask for it.
+  EXPECT_THROW(SessionSpec::parse(spec_json(5, true)), ParseError);
+  EXPECT_EQ(SessionSpec::parse(spec_json(5, false)).strategy_code, 5);
+  EXPECT_EQ(SessionSpec::parse(spec_json(6, true)).strategy_code, 6);
+}
+
 // ------------------------------------------------------------------ session
 
 TEST_F(ServeTest, SessionLifecycleStepsSuspendsAndResumesWithProof) {
