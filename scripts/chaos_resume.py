@@ -10,7 +10,9 @@ operator would after a node crash:
     here in pure Python, footer checksum) or is absent/torn -- torn is
     tolerated exactly when a directory scan still yields a loadable ring
     (that is the supervisor's own fallback contract);
-  * every ring checkpoint carries a valid fnv1a64 footer;
+  * every ring checkpoint carries a valid fnv1a64 footer, and its atom
+    table re-parses here with int()/float(): declared count == rows,
+    10 fields per row, every value finite;
   * the newest resumable step never moves backwards across cycles;
   * at most one stray ``*.tmp`` file exists (the one write the kill
     interrupted -- never an accumulation);
@@ -27,6 +29,7 @@ Exit code 0 = drill passed; 1 = an invariant failed.
 """
 
 import argparse
+import math
 import os
 import random
 import re
@@ -62,8 +65,36 @@ def note(msg: str) -> None:
     print(f"chaos_resume: {msg}", flush=True)
 
 
+def verify_atom_table(path: str, lines: list) -> None:
+    """Re-read the atom table with Python's own int()/float().
+
+    An independent reader of the digits the C++ writer produced: the
+    declared count must equal the rows present, every row must hold
+    exactly 10 fields (id, position, velocity, image counters) and every
+    value must parse and be finite.
+    """
+    heads = [i for i, line in enumerate(lines) if line.startswith("atoms ")]
+    if len(heads) != 1:
+        fail(f"{path}: expected one 'atoms' record, found {len(heads)}")
+    declared = int(lines[heads[0]].split()[1])
+    rows = lines[heads[0] + 1 :]
+    if len(rows) != declared:
+        fail(f"{path}: declares {declared} atoms but holds {len(rows)} rows")
+    for n, row in enumerate(rows):
+        fields = row.split()
+        if len(fields) != 10:
+            fail(f"{path}: atom row {n} has {len(fields)} fields, expected 10")
+        try:
+            ints = [int(fields[0])] + [int(x) for x in fields[7:]]
+            floats = [float(x) for x in fields[1:7]]
+        except ValueError as e:
+            fail(f"{path}: atom row {n} does not parse: {e}")
+        if ints[0] < 0 or not all(math.isfinite(x) for x in floats):
+            fail(f"{path}: atom row {n} holds an invalid value: {row}")
+
+
 def verify_checkpoint(path: str) -> int:
-    """Verify a checkpoint file's checksum footer; return its step."""
+    """Verify a checkpoint file's footer and atom table; return its step."""
     with open(path, "rb") as f:
         text = f.read()
     footer_at = text.rfind(b"checksum fnv1a64 ")
@@ -74,8 +105,10 @@ def verify_checkpoint(path: str) -> int:
     actual = fnv1a64(payload)
     if actual != declared:
         fail(f"{path}: checksum mismatch ({actual:016x} != {declared:016x})")
-    for line in payload.splitlines():
-        if line.startswith(b"step "):
+    lines = payload.decode().splitlines()
+    verify_atom_table(path, lines)
+    for line in lines:
+        if line.startswith("step "):
             return int(line.split()[1])
     fail(f"{path}: no step record")
     return -1  # unreachable

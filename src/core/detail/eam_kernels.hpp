@@ -78,10 +78,10 @@ struct EamArgs {
   /// Flattened spline tables for inline evaluation; null -> virtual calls.
   const EamSplineTables* tables = nullptr;
   /// Per-pair geometry/spline cache (density writes, force reads).
-  PairCacheRefs cache;
+  PairCacheRefs cache{};
   /// SoA fast path (positions mirror + padded tiles + packed splines);
   /// active only under RedundantComputation, inactive -> scalar loops.
-  SoaView soa;
+  SoaView soa{};
 };
 
 struct ForceSums {

@@ -2,20 +2,23 @@
 //
 // Saves everything needed to continue a run bit-for-bit at the physics
 // level: box, per-atom state (position, velocity, id, image counters),
-// species mass, and the step counter. Text format with full double
-// precision, versioned header, so checkpoints remain debuggable and
-// portable.
+// species mass, and the step counter. Text format with a versioned
+// header, so checkpoints remain debuggable and portable; every double is
+// written with the shortest round-trip digits via `std::to_chars`,
+// bit-exact, and read back with `std::from_chars`.
 //
 // Format v2 appends a `checksum fnv1a64 <hex>` footer covering the exact
 // payload bytes; the loader verifies it (ChecksumError on mismatch) before
-// parsing and rejects truncated or non-finite state with ParseError —
-// errors carry the offending line/byte offset for one-glance triage.
-// `save_checkpoint_file` is crash-safe: it writes `<path>.tmp` and renames
-// it into place, so an interrupted save never clobbers the previous good
-// checkpoint, and every failed save unlinks its `.tmp` before throwing.
-// Legacy v1 files (no footer) still load.
+// parsing and rejects truncated, malformed or non-finite state with
+// ParseError — errors carry the offending row and line/byte offset for
+// one-glance triage. Each atom row must hold exactly 10 numbers on one
+// line. `save_checkpoint_file` is crash-safe: it writes `<path>.tmp` and
+// renames it into place, so an interrupted save never clobbers the
+// previous good checkpoint, and every failed save unlinks its `.tmp`
+// before throwing. Legacy v1 files (no footer) still load.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
@@ -29,8 +32,10 @@ struct Checkpoint {
 };
 
 void save_checkpoint(std::ostream& out, const System& system, long step);
-void save_checkpoint_file(const std::string& path, const System& system,
-                          long step);
+/// Returns the FNV-1a 64 digest of the whole file's bytes (what a run
+/// directory's MANIFEST records), computed while composing the text.
+std::uint64_t save_checkpoint_file(const std::string& path,
+                                   const System& system, long step);
 
 /// Throws ParseError on malformed, truncated or version-mismatched input
 /// and ChecksumError when a v2 footer does not match the payload.

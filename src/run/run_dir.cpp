@@ -106,8 +106,8 @@ void RunDir::commit(const System& system, RunState state) {
   // 1. The checkpoint itself (atomic; previous generation untouched on
   //    failure).
   const std::string name = checkpoint_name(state.step);
-  const std::string full = file_path(name);
-  save_checkpoint_file(full, system, state.step);
+  const std::uint64_t checksum =
+      save_checkpoint_file(file_path(name), system, state.step);
 
   // 2. The sidecar pointing at it.
   state.checkpoint_file = name;
@@ -130,7 +130,7 @@ void RunDir::commit(const System& system, RunState state) {
   RingEntry entry;
   entry.step = state.step;
   entry.file = name;
-  entry.checksum = fnv1a64(read_file(full));
+  entry.checksum = checksum;
   ring.insert(ring.begin(), entry);
   std::sort(ring.begin(), ring.end(),
             [](const RingEntry& a, const RingEntry& b) {

@@ -1,18 +1,27 @@
 // XYZ reader, LAMMPS data files and checkpoint round trips.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <iterator>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/hash.hpp"
 #include "common/units.hpp"
 #include "io/checkpoint.hpp"
 #include "io/lammps_data.hpp"
 #include "io/xyz_reader.hpp"
 #include "md/dump.hpp"
 #include "md/velocity.hpp"
+#include "run/run_dir.hpp"
 
 namespace sdcmd {
 namespace {
@@ -27,6 +36,92 @@ System sample_system() {
                                300.0, 17);
   system.atoms().image[5] = {1, -2, 0};
   return system;
+}
+
+/// Doubles that stress a text codec: signed zero, the smallest subnormal,
+/// the normal range ends, a value with no short decimal form, large and
+/// small exponents; plus extreme ids and negative image counters.
+System edge_system() {
+  Box box({-0.0, 5e-324, -1e21}, {DBL_MAX, 1.0, 1e21}, {true, false, true});
+  Atoms atoms(2);
+  atoms.id[0] = UINT32_MAX;
+  atoms.position[0] = {-0.0, 5e-324, DBL_MIN};
+  atoms.velocity[0] = {DBL_MAX, 0.1 + 0.2, 1e21};
+  atoms.image[0] = {-1, -123456, INT_MIN};
+  atoms.id[1] = 0;
+  atoms.position[1] = {1e-7, -DBL_MAX, -DBL_MIN};
+  atoms.velocity[1] = {-5e-324, -1e-7, 1.0 / 3.0};
+  atoms.image[1] = {0, -2, INT_MAX};
+  return System(box, std::move(atoms), 0.1 + 0.2);
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const Vec3& a, const Vec3& b) {
+  return same_bits(a.x, b.x) && same_bits(a.y, b.y) && same_bits(a.z, b.z);
+}
+
+void expect_bit_identical(const System& a, const System& b) {
+  EXPECT_TRUE(same_bits(a.mass(), b.mass()));
+  EXPECT_TRUE(same_bits(a.box().lo(), b.box().lo()));
+  EXPECT_TRUE(same_bits(a.box().hi(), b.box().hi()));
+  for (int dim = 0; dim < 3; ++dim) {
+    EXPECT_EQ(a.box().periodic(dim), b.box().periodic(dim));
+  }
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.atoms().id[i], b.atoms().id[i]) << "row " << i;
+    EXPECT_TRUE(same_bits(a.atoms().position[i], b.atoms().position[i]))
+        << "row " << i;
+    EXPECT_TRUE(same_bits(a.atoms().velocity[i], b.atoms().velocity[i]))
+        << "row " << i;
+    EXPECT_EQ(a.atoms().image[i], b.atoms().image[i]) << "row " << i;
+  }
+}
+
+/// A v2 file as the iostream writer produced it before the codec moved
+/// to std::to_chars: 17 significant digits and the same FNV-1a footer.
+std::string legacy_v2_text(const System& system, long step) {
+  const Atoms& atoms = system.atoms();
+  const Box& box = system.box();
+  std::ostringstream out;
+  out << "sdcmd-checkpoint 2\n" << "step " << step << '\n';
+  out << std::setprecision(17);
+  out << "mass " << system.mass() << '\n';
+  out << "box " << box.lo().x << ' ' << box.lo().y << ' ' << box.lo().z
+      << ' ' << box.hi().x << ' ' << box.hi().y << ' ' << box.hi().z << ' '
+      << box.periodic(0) << ' ' << box.periodic(1) << ' ' << box.periodic(2)
+      << '\n';
+  out << "atoms " << atoms.size() << '\n';
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    const Vec3& r = atoms.position[i];
+    const Vec3& v = atoms.velocity[i];
+    out << atoms.id[i] << ' ' << r.x << ' ' << r.y << ' ' << r.z << ' '
+        << v.x << ' ' << v.y << ' ' << v.z << ' ' << atoms.image[i][0]
+        << ' ' << atoms.image[i][1] << ' ' << atoms.image[i][2] << '\n';
+  }
+  const std::string payload = out.str();
+  std::ostringstream footer;
+  footer << "checksum fnv1a64 " << std::hex << std::setw(16)
+         << std::setfill('0') << fnv1a64(payload) << '\n';
+  return payload + footer.str();
+}
+
+/// A v1 (footer-less) two-atom file whose second atom row is `row1`, so
+/// the parser itself meets the damage on line 7.
+std::string v1_with_second_row(const std::string& row1) {
+  return "sdcmd-checkpoint 1\nstep 0\nmass 55.845\n"
+         "box 0 0 0 10 10 10 1 1 1\natoms 2\n"
+         "0 1 2 3 0.1 0.2 0.3 0 0 0\n" +
+         row1 + "\n";
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 TEST(XyzReader, RoundTripsWriteXyz) {
@@ -185,7 +280,7 @@ TEST(Checkpoint, RoundTripIsExact) {
   EXPECT_DOUBLE_EQ(restored.system.mass(), original.mass());
   EXPECT_EQ(restored.system.box(), original.box());
   for (std::size_t i = 0; i < original.size(); ++i) {
-    // Bit-exact round trip (17 significant digits).
+    // Bit-exact round trip (shortest round-trip digits).
     EXPECT_EQ(restored.system.atoms().position[i],
               original.atoms().position[i]);
     EXPECT_EQ(restored.system.atoms().velocity[i],
@@ -363,6 +458,92 @@ TEST(Checkpoint, TruncationErrorsPointAtRowLineAndByte) {
     EXPECT_NE(what.find("line "), std::string::npos) << what;
     EXPECT_NE(what.find("byte "), std::string::npos) << what;
   }
+}
+
+TEST(Checkpoint, EdgeValuesRoundTripBitExactThroughAFile) {
+  const std::string path = testing::TempDir() + "sdcmd_ckpt_edges.chk";
+  const System original = edge_system();
+  save_checkpoint_file(path, original, -7);
+  const Checkpoint restored = load_checkpoint_file(path);
+  EXPECT_EQ(restored.step, -7);
+  expect_bit_identical(original, restored.system);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, SeventeenDigitV2FilesLoadBitIdentically) {
+  // Files already on disk were written with setprecision(17); the
+  // std::from_chars reader must restore them to the same bits.
+  for (const System& original : {sample_system(), edge_system()}) {
+    std::stringstream stream(legacy_v2_text(original, 77));
+    const Checkpoint restored = load_checkpoint(stream);
+    EXPECT_EQ(restored.step, 77);
+    expect_bit_identical(original, restored.system);
+  }
+}
+
+TEST(Checkpoint, MalformedRowsNameRowLineAndByte) {
+  const char* rows[] = {
+      "1 1.2.3 5 6 0.4 0.5 0.6 0 0 0",     // a number that runs on
+      "1 abc 5 6 0.4 0.5 0.6 0 0 0",       // not a number at all
+      "1 4 5 6 0.4 0.5 0.6 0 0 0 7",       // an 11th field
+      "1 4 5 6\n0.4 0.5 0.6 0 0 0",        // one row split over two lines
+  };
+  for (const char* row : rows) {
+    std::stringstream stream(v1_with_second_row(row));
+    try {
+      load_checkpoint(stream);
+      ADD_FAILURE() << "expected ParseError for row '" << row << "'";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("malformed atom table at row 1 of 2"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("(line 7, byte "), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Checkpoint, NanAndInfTokensHitTheNonFiniteCheck) {
+  for (const char* row : {"1 nan 5 6 0.4 0.5 0.6 0 0 0",
+                          "1 4 5 6 0.4 -inf 0.6 0 0 0"}) {
+    std::stringstream stream(v1_with_second_row(row));
+    try {
+      load_checkpoint(stream);
+      ADD_FAILURE() << "expected ParseError for row '" << row << "'";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("non-finite position or velocity at row 1"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("(line 7, byte "), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Checkpoint, SaveReturnsTheDigestOfTheFileBytes) {
+  const std::string path = testing::TempDir() + "sdcmd_ckpt_digest.chk";
+  const std::uint64_t digest = save_checkpoint_file(path, sample_system(), 5);
+  EXPECT_EQ(digest, fnv1a64(read_bytes(path)));
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, ManifestChecksumMatchesTheCommittedFile) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "sdcmd_ckpt_manifest";
+  std::filesystem::remove_all(dir);
+  run::RunDir run_dir(dir.string(), 2);
+  for (long step : {10, 20}) {
+    run::RunState state;
+    state.step = step;
+    run_dir.commit(sample_system(), state);
+  }
+  const std::vector<run::RingEntry> ring = run_dir.read_manifest();
+  ASSERT_EQ(ring.size(), 2u);
+  for (const run::RingEntry& entry : ring) {
+    const std::string bytes = read_bytes(run_dir.file_path(entry.file));
+    EXPECT_EQ(entry.checksum, fnv1a64(bytes)) << entry.file;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, FileErrorsArePrefixedWithThePath) {
